@@ -279,4 +279,25 @@ else
   echo "libtsan unavailable: skipping the TSan job"
 fi
 
+echo "== ASan+UBSan: full ctest suite =="
+# Heap/stack overflows, use-after-free and undefined behaviour (null
+# memcpy, signed overflow, misaligned loads) anywhere the tests reach.
+# -fno-sanitize-recover=all makes every UBSan report fatal, so a finding
+# fails its test instead of scrolling past. Skipped with a notice when
+# the toolchain lacks libasan/libubsan.
+if echo 'int main(){return 0;}' | g++ -fsanitize=address,undefined -x c++ - -o /tmp/asan_probe 2>/dev/null; then
+  rm -f /tmp/asan_probe
+  cmake -B build-asan -S . \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -g -O1" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
+  cmake --build build-asan -j"${JOBS}"
+  (cd build-asan && \
+    ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+    UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ctest --output-on-failure -j"${JOBS}")
+else
+  echo "libasan/libubsan unavailable: skipping the ASan+UBSan job"
+fi
+
 echo "CI OK — artifacts: build/BENCH_bat_kernel.json build/BENCH_retrieval.json"

@@ -640,10 +640,13 @@ class Compiler {
     if (options_.optimize) {
       // Inverted evaluation: restrict the postings BEFORE computing
       // beliefs — first by query term, then by candidate documents.
+      // Every restriction is a semijoin over the void-headed posting
+      // BATs, so `keep` stays a candidate view over the postings (in
+      // ascending posting order) and each semijoin.head below is an
+      // oid-aligned position-set intersection in the engine.
       int keep = EmitBinary(mil::OpCode::kSemiJoinTail, term, qb);
       if (scope.candidates >= 0) {
-        int keep_mirror = EmitUnary(mil::OpCode::kMirror, keep);
-        int pd = EmitBinary(mil::OpCode::kJoin, keep_mirror, doc);
+        int pd = EmitBinary(mil::OpCode::kSemiJoinHead, doc, keep);
         int cand_rev = EmitUnary(mil::OpCode::kReverse, scope.candidates);
         keep = EmitBinary(mil::OpCode::kSemiJoinTail, pd, cand_rev);
       }

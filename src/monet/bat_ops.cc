@@ -284,6 +284,12 @@ struct ZoneInterval {
   // exact int64 equality path must rescan, since two distinct ints can
   // round to one double and zone bounds live in double space.
   bool allow_all = false;
+
+  // Classifies one block's [bmin, bmax] against the interval.
+  ZoneMatch operator()(double bmin, double bmax) const {
+    ZoneMatch m = ClassifyZone(bmin, bmax, lo, lo_inc, hi, hi_inc);
+    return (m == ZoneMatch::kAll && !allow_all) ? ZoneMatch::kSome : m;
+  }
 };
 
 ZoneInterval EqZoneInterval(const Column& tail, const Value& v) {
@@ -601,18 +607,21 @@ std::vector<uint32_t> SelectRangePositions(const Bat& b, const Value& lo,
       [](std::string_view) { return false; });
 }
 
-// Runs a selection position core with zone-map block pruning. Dense
+// Runs a position core with zone-map block pruning. `classify` is a
+// per-block classifier (`usable` plus `ZoneMatch operator()(bmin, bmax)`):
+// the selection intervals above, or the membership key set below. Dense
 // sub-domains walk the blocks they cover: dead blocks are skipped
-// outright, fully-matching blocks (when the predicate interval allows)
-// append their positions wholesale, and only runs of mixed blocks reach
-// `pos_fn`. Sparse sub-domains and unusable predicates fall through to
-// the plain morselized core.
-template <typename PosFn>
+// outright and count into KernelStats.zone_blocks_skipped, fully
+// matching blocks append their positions wholesale, and only runs of
+// mixed blocks reach `pos_fn`. Sparse sub-domains and unusable
+// classifiers fall through to the plain morselized core.
+template <typename Classifier, typename PosFn>
 CandidateList ZonedMorselizedPositions(size_t n, const CandidateList* cands,
                                        const MorselExec& mx,
                                        const ZoneMap* zones,
-                                       const ZoneInterval& iv, PosFn pos_fn) {
-  if (!iv.usable || zones == nullptr || !zones->valid) {
+                                       const Classifier& classify,
+                                       PosFn pos_fn) {
+  if (!classify.usable || zones == nullptr || !zones->valid) {
     return MorselizedPositions(n, cands, mx, pos_fn);
   }
   std::atomic<uint64_t> skipped{0};
@@ -641,10 +650,7 @@ CandidateList ZonedMorselizedPositions(size_t n, const CandidateList* cands,
     for (size_t blk = first / br; blk * br < end; ++blk) {
       size_t blo = std::max(first, blk * br);
       size_t bhi = std::min(end, (blk + 1) * br);
-      ZoneMatch match =
-          ClassifyZone(zones->block_min[blk], zones->block_max[blk], iv.lo,
-                       iv.lo_inc, iv.hi, iv.hi_inc);
-      if (match == ZoneMatch::kAll && !iv.allow_all) match = ZoneMatch::kSome;
+      ZoneMatch match = classify(zones->block_min[blk], zones->block_max[blk]);
       if (match == ZoneMatch::kSome) {
         if (!in_run) {
           run_lo = blo;
@@ -1541,14 +1547,56 @@ Bat JoinLegacy(const Bat& l, const Bat& r) {
 
 namespace {
 
+// The membership keys as a zone classifier: the keys' double images,
+// ascending. A probe row equal to a key has, in either numeric key mode,
+// the key's double image as its own double image, and the zone builder
+// keeps every row's double image inside its block's [min, max] (int64
+// values past 2^53 widen outward, void/oid bounds round monotonically).
+// So a block whose [min, max] holds no key image holds no member and is
+// skipped; one binary search per block decides it. Never kAll: a block
+// that may hold a member is scanned by the unchanged probe.
+struct ZoneKeySet {
+  bool usable = false;
+  std::vector<double> keys;
+
+  ZoneMatch operator()(double bmin, double bmax) const {
+    auto it = std::lower_bound(keys.begin(), keys.end(), bmin);
+    return (it != keys.end() && *it <= bmax) ? ZoneMatch::kSome
+                                             : ZoneMatch::kNone;
+  }
+};
+
+// Builds the key set only when it can prune: kept-member probes over
+// numeric keys with a valid probe zone map and a dense (or absent)
+// candidate domain — sparse domains never consult block bounds.
+template <typename KeysKeyFn>
+ZoneKeySet MembershipZoneKeys(size_t keys_n, KeysKeyFn keys_key,
+                              bool keep_members, const CandidateList* cands,
+                              const ZoneMap* zones) {
+  ZoneKeySet ks;
+  if (!keep_members || zones == nullptr || !zones->valid ||
+      (cands != nullptr && !cands->is_dense())) {
+    return ks;
+  }
+  ks.keys.reserve(keys_n);
+  for (size_t i = 0; i < keys_n; ++i) {
+    double k = static_cast<double>(keys_key(i));
+    if (!std::isnan(k)) ks.keys.push_back(k);  // NaN never equals a row
+  }
+  std::sort(ks.keys.begin(), ks.keys.end());
+  ks.usable = true;
+  return ks;
+}
+
 // Radix-clusters the membership keys once (same partitioned table the
 // join build uses, shared read-only across probe morsels), then probes
-// the candidate domain morsel by morsel.
+// the candidate domain morsel by morsel, skipping the probe column's
+// zone blocks that hold no key.
 template <typename K, typename ProbeKeyFn, typename KeysKeyFn>
 CandidateList RadixMemberCand(size_t probe_n, ProbeKeyFn probe_key,
                               size_t keys_n, KeysKeyFn keys_key,
                               bool keep_members, const CandidateList* cands,
-                              const MorselExec& mx) {
+                              const MorselExec& mx, const ZoneMap* zones) {
   // Bloom-gate the probe only when it is selective: with the probe domain
   // at least as large as the member-key set, misses are expected and the
   // filter pays for itself; a probe far smaller than the key set mostly
@@ -1558,8 +1606,10 @@ CandidateList RadixMemberCand(size_t probe_n, ProbeKeyFn probe_key,
   RadixTable<K> members = BuildRadixTable<K>(keys_n, nullptr, keys_key, mx,
                                              /*dedup_chains=*/true,
                                              with_bloom);
-  return MorselizedPositions(
-      probe_n, cands, mx, [&](const CandidateList* dom) {
+  return ZonedMorselizedPositions(
+      probe_n, cands, mx, zones,
+      MembershipZoneKeys(keys_n, keys_key, keep_members, cands, zones),
+      [&](const CandidateList* dom) {
         std::vector<uint32_t> out;
         uint64_t bloom_rejects = 0;
         ForEachInDomain(probe_n, dom, [&](size_t i) {
@@ -1600,21 +1650,25 @@ CandidateList StringMemberCand(size_t probe_n, ProbeKeyFn probe_key,
       });
 }
 
+// `zones` is the probe column's zone map (nullable). String keys never
+// prune: their zone maps are invalid, and heap offsets carry no order.
 CandidateList MembershipCand(const Column& probe, const Column& keys,
                              bool keep_members, const CandidateList* cands,
-                             const MorselExec& mx) {
-  switch (PickKeyMode(probe, keys)) {
+                             const MorselExec& mx,
+                             const ZoneMap* zones = nullptr) {
+  KeyMode mode = PickKeyMode(probe, keys);
+  switch (mode) {
     case KeyMode::kI64:
     case KeyMode::kStrOffset:
       return RadixMemberCand<int64_t>(
           probe.size(), [&](size_t i) { return I64KeyAt(probe, i); },
           keys.size(), [&](size_t i) { return I64KeyAt(keys, i); },
-          keep_members, cands, mx);
+          keep_members, cands, mx, mode == KeyMode::kI64 ? zones : nullptr);
     case KeyMode::kF64:
       return RadixMemberCand<double>(
           probe.size(), [&](size_t i) { return F64KeyAt(probe, i); },
           keys.size(), [&](size_t i) { return F64KeyAt(keys, i); },
-          keep_members, cands, mx);
+          keep_members, cands, mx, zones);
     case KeyMode::kString:
       return StringMemberCand(
           probe.size(), [&](size_t i) { return std::string(probe.StrAt(i)); },
@@ -1638,9 +1692,11 @@ Bat FilterByMembership(const Bat& l, const Column& probe, const Column& keys,
 CandidateList FilterByMembershipCand(const Column& probe, const Column& keys,
                                      bool keep_members, KernelOp op,
                                      const CandidateList* cands,
-                                     const MorselExec& mx) {
+                                     const MorselExec& mx,
+                                     const ZoneMap* zones = nullptr) {
   KernelTimer timer(op);
-  CandidateList out = MembershipCand(probe, keys, keep_members, cands, mx);
+  CandidateList out =
+      MembershipCand(probe, keys, keep_members, cands, mx, zones);
   TrackKernelOp(op, DomainSize(probe.size(), cands) + keys.size(),
                 out.size());
   TrackCandidateOp();
@@ -1680,9 +1736,9 @@ CandidateList AntiJoinHeadCand(const Bat& l, const Bat& r,
 
 CandidateList SemiJoinTailCand(const Bat& l, const Bat& r,
                                const CandidateList* lcands,
-                               const MorselExec& mx) {
+                               const MorselExec& mx, const ZoneMap* zones) {
   return FilterByMembershipCand(l.tail(), r.tail(), /*keep_members=*/true,
-                                KernelOp::kSemiJoin, lcands, mx);
+                                KernelOp::kSemiJoin, lcands, mx, zones);
 }
 
 // ---------------------------------------------------------------------------

@@ -194,10 +194,15 @@ CandidateList AntiJoinHeadCand(const Bat& l, const Bat& r,
                                const CandidateList* lcands = nullptr,
                                const MorselExec& mx = {});
 
-/// Positions of `l` whose TAIL occurs among the TAILS of `r`.
+/// Positions of `l` whose TAIL occurs among the TAILS of `r`. With the
+/// probe tail's zone map (`zones`, nullable), dense sub-domains skip every
+/// block whose [min, max] holds no key of `r` (one binary search over the
+/// sorted keys per block); positions are identical either way, and
+/// skipped blocks count into KernelStats.zone_blocks_skipped.
 CandidateList SemiJoinTailCand(const Bat& l, const Bat& r,
                                const CandidateList* lcands = nullptr,
-                               const MorselExec& mx = {});
+                               const MorselExec& mx = {},
+                               const ZoneMap* zones = nullptr);
 
 /// Copies the candidate rows of `b` into a materialized BAT: the single
 /// tuple-copy point of a candidate pipeline (sort, join build sides and

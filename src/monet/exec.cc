@@ -636,7 +636,8 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
         auto r = mat1();
         if (!r.ok()) return r.status();
         PutCand(st, i.dst, base,
-                SemiJoinTailCand(*base, *r.value(), domain, st.mx));
+                SemiJoinTailCand(*base, *r.value(), domain, st.mx,
+                                 TailZonesFor(st, base.get())));
         return base::Status::Ok();
       }
       case OpCode::kSlice: {

@@ -84,8 +84,9 @@ struct ExecOptions {
   /// MorselExec.bloom_probes; profiler counters bloom_builds/bloom_hits).
   bool bloom_probes = true;
   /// When true, catalog zone maps (per-block min/max, built at load time)
-  /// prune selections block-wise and bound dense per-head aggregation
-  /// ranges; results are identical (pruned blocks provably contain no
+  /// prune selections and tail-membership probes (semijoin.tail)
+  /// block-wise and bound dense per-head aggregation ranges; results
+  /// are identical (pruned blocks provably contain no
   /// qualifying row). When false, every block is scanned — the baseline
   /// for the pruning benchmarks.
   bool zone_maps = true;

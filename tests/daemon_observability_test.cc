@@ -21,6 +21,7 @@
 #include "mirror/mirror_db.h"
 #include "moa/moa_value.h"
 #include "moa/query_context.h"
+#include "monet/trace.h"
 
 namespace mirror::daemon {
 namespace {
@@ -211,6 +212,26 @@ TEST(ObservabilityCodecTest, TraceReplyRoundTrip) {
   ASSERT_EQ(decoded.value().cols.size(), 2u);
   EXPECT_EQ(decoded.value().cols[0].tail().IntAt(1), 1);
   EXPECT_EQ(decoded.value().cols[1].tail().StrAt(0), "select.eq");
+}
+
+TEST(ObservabilityCodecTest, EmptyTraceReplyRoundTrip) {
+  // An untraced session's reply: the full schema with zero rows, every
+  // column an empty BAT.
+  monet::TraceTable empty = monet::TraceToBats({});
+  wire::TraceReply reply;
+  reply.names = empty.names;
+  reply.cols = empty.cols;
+  auto decoded = wire::DecodeTraceReply(wire::EncodeTraceReply(reply));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().rows, 0u);
+  EXPECT_EQ(decoded.value().names, empty.names);
+  ASSERT_EQ(decoded.value().cols.size(), empty.cols.size());
+  for (size_t i = 0; i < empty.cols.size(); ++i) {
+    EXPECT_EQ(decoded.value().cols[i].size(), 0u) << empty.names[i];
+    EXPECT_EQ(decoded.value().cols[i].tail().type(),
+              empty.cols[i].tail().type())
+        << empty.names[i];
+  }
 }
 
 TEST(ObservabilityCodecTest, PrometheusRenderingCoversClassesAndStages) {

@@ -161,6 +161,25 @@ TEST(WireCodecTest, BatRoundTripIsRepresentationExact) {
   }
 }
 
+TEST(WireCodecTest, EmptyColumnsRoundTrip) {
+  // Zero-length payloads of every column type: the decoder must not
+  // copy from an empty vector's (possibly null) buffer.
+  std::vector<monet::Column> cols = {
+      monet::Column::MakeVoid(3, 0), monet::Column::MakeOids({}),
+      monet::Column::MakeInts({}), monet::Column::MakeDbls({}),
+      monet::Column::MakeStrs({})};
+  for (const monet::Column& c : cols) {
+    std::vector<uint8_t> buf;
+    monet::EncodeColumn(c, &buf);
+    size_t pos = 0;
+    auto decoded = monet::DecodeColumn(buf, &pos);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(pos, buf.size());
+    EXPECT_EQ(decoded.value().type(), c.type());
+    EXPECT_EQ(decoded.value().size(), 0u);
+  }
+}
+
 TEST(WireCodecTest, TruncatedBatFailsCleanly) {
   monet::Bat bat = monet::Bat::DenseDbls({1.5, -2.25, 1e300}, 7);
   std::vector<uint8_t> buf;

@@ -2,6 +2,7 @@
 // work (kernel op counts / tuples touched via the profiler).
 
 #include <map>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include "moa/flatten.h"
 #include "moa/naive_eval.h"
 #include "moa/optimizer.h"
+#include "monet/exec.h"
+#include "monet/mil.h"
 #include "monet/profiler.h"
 
 namespace mirror::moa {
@@ -277,6 +280,101 @@ TEST(MilFoldRewriteTest, MultiUseAndDeeperTopNsAreLeftAlone) {
   OptimizerReport report;
   OptimizeMil(&p, &report);
   EXPECT_EQ(report.fold_rewrites, 0);
+}
+
+// A library whose posting BATs span five zone blocks: 4000 documents of
+// 10 terms over a 40-word vocabulary (40k postings, sorted by term), and
+// a `y` attribute uniform over oids, so selections on it prune nothing.
+void BuildRankedLibrary(Database* db) {
+  ASSERT_TRUE(db->Define("define Lib as SET<TUPLE<Atomic<int>: y, "
+                         "CONTREP<Text>: a>>;")
+                  .ok());
+  base::Rng rng(29);
+  std::vector<MoaValue> objects;
+  for (int i = 0; i < 4000; ++i) {
+    std::vector<std::string> terms;
+    for (int t = 0; t < 10; ++t) {
+      terms.push_back("w" + std::to_string(rng.Uniform(40)));
+    }
+    objects.push_back(MoaValue::Tuple(
+        {MoaValue::Int(rng.UniformInt(0, 99)), MoaValue::ContRep(terms)}));
+  }
+  ASSERT_TRUE(db->Load("Lib", std::move(objects)).ok());
+}
+
+std::vector<std::pair<Oid, double>> BatRows(const monet::Bat& bat) {
+  std::vector<std::pair<Oid, double>> rows;
+  for (size_t i = 0; i < bat.size(); ++i) {
+    rows.emplace_back(bat.head().OidAt(i), bat.tail().NumAt(i));
+  }
+  return rows;
+}
+
+TEST(GetBLPostingChainTest, CandidateChainPrunesTermBlocksAndMatchesOracles) {
+  Database db;
+  BuildRankedLibrary(&db);
+  QueryContext ctx;
+  ctx.Bind("query", {{"w7", 1.5}, {"w31", 0.5}});
+  const std::string scored =
+      "map[sum(THIS)](map[getBL(THIS.a, query, stats)]("
+      "select[THIS.y >= 10 and THIS.y <= 60](Lib)))";
+  // The untruncated scores, from the naive Moa evaluator.
+  auto full = NaiveEvaluator(&db, &ctx).Evaluate(ParseExpr(scored).TakeValue());
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  std::map<Oid, double> naive_scores;
+  for (const auto& [oid, v] : BatRows(*full.value().bat)) naive_scores[oid] = v;
+  ASSERT_GT(naive_scores.size(), 10u);
+
+  for (const std::string& text : {scored, "topN(" + scored + ", 10)"}) {
+    SCOPED_TRACE(text);
+    ExprPtr expr = ParseExpr(text).TakeValue();
+    OptimizerReport report;
+    Flattener flattener(&db, &ctx, FlattenOptions{.optimize = true});
+    auto program = flattener.Compile(RewriteLogical(expr, &report));
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    monet::mil::Program prog = program.TakeValue();
+    OptimizeMil(&prog, &report);
+    // The candidate restriction is a semijoin over the void-headed
+    // postings: no mirror/join detour that would drop the void head.
+    for (const monet::mil::Instr& i : prog.instrs()) {
+      EXPECT_NE(i.op, monet::mil::OpCode::kMirror);
+    }
+
+    // Every run returns exactly the naive scores: per row against the
+    // untruncated naive Moa ranking, and rank by rank against the naive
+    // MIL executor (tied rows may order differently in the last ulps).
+    auto naive_mil = monet::mil::Executor(db.catalog()).Run(prog);
+    ASSERT_TRUE(naive_mil.ok()) << naive_mil.status().ToString();
+    const auto want = BatRows(*naive_mil.value().bat);
+    const size_t want_rows = text == scored ? naive_scores.size() : 10u;
+    auto expect_matches = [&](const std::vector<std::pair<Oid, double>>& got) {
+      ASSERT_EQ(got.size(), want_rows);
+      std::set<Oid> seen;
+      for (size_t r = 0; r < got.size(); ++r) {
+        ASSERT_TRUE(seen.insert(got[r].first).second) << got[r].first;
+        ASSERT_EQ(naive_scores.count(got[r].first), 1u) << got[r].first;
+        EXPECT_NEAR(got[r].second, naive_scores.at(got[r].first), 1e-9);
+        EXPECT_NEAR(got[r].second, want[r].second, 1e-9) << "rank " << r;
+      }
+    };
+    expect_matches(want);
+    auto naive_moa = NaiveEvaluator(&db, &ctx).Evaluate(expr);
+    ASSERT_TRUE(naive_moa.ok()) << naive_moa.status().ToString();
+    if (text != scored) expect_matches(BatRows(*naive_moa.value().bat));
+    for (size_t shards : {1ul, 4ul}) {
+      SCOPED_TRACE(shards);
+      monet::ResetKernelStats();
+      auto engine = monet::mil::ExecutionEngine(
+                        db.catalog(), monet::mil::ExecOptions{
+                                          .num_threads = 4,
+                                          .num_shards = shards})
+                        .Run(prog);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      // The term probe skips the posting blocks that hold neither term.
+      EXPECT_GT(monet::SnapshotKernelStats().zone_blocks_skipped, 0u);
+      expect_matches(BatRows(*engine.value().bat));
+    }
+  }
 }
 
 TEST(ShardFanoutDiagnosticTest, CountsShardableChains) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/logging.h"
 #include "base/rng.h"
 #include "monet/bat.h"
 #include "monet/bat_ops.h"
@@ -220,6 +221,129 @@ TEST(ZonePruneTest, IntEqualitySelectNeverTrustsBlockWideMatches) {
 }
 
 // ---------------------------------------------------------------------------
+// Zoned membership probes.
+
+// Runs the zoned tail semijoin of `l` against `r` at 1 and 4 threads
+// (tiny morsels, so blocks split across morsels), over the whole column
+// and over a dense and a sparse sub-domain, and checks it position for
+// position against the unzoned kernel and the materializing SemiJoinTail.
+// Returns the blocks the whole-column probe skipped at 1 thread.
+uint64_t ExpectZonedProbeMatches(const Bat& l, const Bat& r,
+                                 const char* what) {
+  ZoneMap zones = BuildZoneMap(l.tail());
+  EXPECT_TRUE(zones.valid) << what;
+  WorkerPool pool;
+  pool.EnsureWorkers(4);
+  uint64_t skipped = 0;
+  const CandidateList dense = CandidateList::Dense(100, l.size() - 200);
+  std::vector<uint32_t> every_third;
+  for (size_t i = 0; i < l.size(); i += 3) {
+    every_third.push_back(static_cast<uint32_t>(i));
+  }
+  const CandidateList sparse = CandidateList::FromPositions(every_third);
+  for (int threads : {1, 4}) {
+    MorselExec mx;
+    if (threads > 1) mx = MorselExec{&pool, /*morsel_size=*/3000};
+    for (const CandidateList* dom :
+         std::vector<const CandidateList*>{nullptr, &dense, &sparse}) {
+      ResetKernelStats();
+      CandidateList zoned = SemiJoinTailCand(l, r, dom, mx, &zones);
+      uint64_t s = SnapshotKernelStats().zone_blocks_skipped;
+      if (threads == 1 && dom == nullptr) skipped = s;
+      if (dom == &sparse) {
+        EXPECT_EQ(s, 0u) << what << ": sparse domains scan";
+      }
+      CandidateList unzoned = SemiJoinTailCand(l, r, dom, mx);
+      EXPECT_EQ(zoned.ToPositions(), unzoned.ToPositions())
+          << what << " threads=" << threads;
+      Bat want = SemiJoinTail(dom == nullptr ? l : Materialize(l, *dom), r);
+      ExpectBatsEqual(want, Materialize(l, zoned), what);
+    }
+  }
+  return skipped;
+}
+
+TEST(ZonedMembershipTest, SortedColumnSkipsBlocksWithoutQueryKeys) {
+  // Postings sorted by term, as ContentIndex::Finalize lays them out:
+  // block b holds terms [20 b, 20 b + 19].
+  size_t n = kZoneBlockRows * 6;
+  std::vector<int64_t> terms(n);
+  for (size_t i = 0; i < n; ++i) {
+    terms[i] = static_cast<int64_t>(i * 120 / n);
+  }
+  Bat l = Bat::DenseInts(terms);
+  Bat keys = Bat::DenseInts({3, 47, 45, 3});  // blocks 0 and 2; duplicates
+  EXPECT_EQ(ExpectZonedProbeMatches(l, keys, "sorted"), 4u);
+}
+
+TEST(ZonedMembershipTest, UnsortedColumnMatchesUnzoned) {
+  size_t n = kZoneBlockRows * 5 + 123;
+  std::vector<int64_t> vals(n);
+  base::Rng rng(5);
+  for (auto& v : vals) v = rng.UniformInt(0, 500);
+  Bat l = Bat::DenseInts(vals);
+  // Every block spans ~[0, 500]: nothing is provably dead.
+  EXPECT_EQ(ExpectZonedProbeMatches(l, Bat::DenseInts({7, 250, 499}),
+                                    "unsorted"),
+            0u);
+}
+
+TEST(ZonedMembershipTest, KeysOutsideEveryBlockAndEmptyKeySetsSkipAll) {
+  size_t n = kZoneBlockRows * 4;
+  std::vector<int64_t> terms(n);
+  for (size_t i = 0; i < n; ++i) terms[i] = static_cast<int64_t>(i / 100);
+  Bat l = Bat::DenseInts(terms);
+  EXPECT_EQ(ExpectZonedProbeMatches(l, Bat::DenseInts({-4, 100000}),
+                                    "keys outside"),
+            4u);
+  EXPECT_EQ(ExpectZonedProbeMatches(l, Bat::DenseInts({}), "empty keys"), 4u);
+}
+
+TEST(ZonedMembershipTest, KeysOnBlockBoundariesKeepTheirBlocks) {
+  // Block b holds [1000 b, 1000 b + 81]; keys sit exactly on block 2's
+  // min and block 4's max, and one falls in the gap after block 1.
+  size_t n = kZoneBlockRows * 6;
+  std::vector<int64_t> vals(n);
+  for (size_t i = 0; i < n; ++i) {
+    vals[i] = static_cast<int64_t>((i / kZoneBlockRows) * 1000 +
+                                   (i % kZoneBlockRows) / 100);
+  }
+  Bat l = Bat::DenseInts(vals);
+  ZoneMap z = BuildZoneMap(l.tail());
+  ASSERT_DOUBLE_EQ(z.block_min[2], 2000.0);
+  ASSERT_DOUBLE_EQ(z.block_max[4], 4081.0);
+  EXPECT_EQ(ExpectZonedProbeMatches(l, Bat::DenseInts({2000, 4081, 1082}),
+                                    "block boundaries"),
+            4u);
+  // The same boundaries as double keys (the double-keyed probe).
+  EXPECT_EQ(ExpectZonedProbeMatches(l, Bat::DenseDbls({2000.0, 4081.0}),
+                                    "double keys on boundaries"),
+            4u);
+}
+
+TEST(ZonedMembershipTest, HugeInt64KeysNeverPruneTheirBlock) {
+  // Values past 2^53 where neighbouring ints share one double: block b
+  // holds 2^53 + 64 b + [0, 8). The exact probe must find 2^53 + 1 and
+  // 2^53 + 131 (odd: not representable as doubles), must not invent a
+  // match for 2^53 + 73 (absent, but its double image lies inside block
+  // 1's widened bounds), and blocks 3..5 are provably dead.
+  const int64_t base = int64_t{1} << 53;
+  size_t n = kZoneBlockRows * 6;
+  std::vector<int64_t> vals(n);
+  for (size_t i = 0; i < n; ++i) {
+    vals[i] = base + static_cast<int64_t>((i / kZoneBlockRows) * 64 + i % 8);
+  }
+  Bat l = Bat::DenseInts(vals);
+  Bat keys = Bat::DenseInts({base + 1, base + 131, base + 73});
+  EXPECT_EQ(ExpectZonedProbeMatches(l, keys, "int64 past 2^53"), 3u);
+  ZoneMap zones = BuildZoneMap(l.tail());
+  CandidateList got = SemiJoinTailCand(l, keys, nullptr, {}, &zones);
+  size_t want = 0;
+  for (int64_t v : vals) want += (v == base + 1 || v == base + 131);
+  EXPECT_EQ(got.size(), want);
+}
+
+// ---------------------------------------------------------------------------
 // Top-k pruned ranking plans.
 
 // A score column whose top scores sit in the first block (so a
@@ -227,6 +351,8 @@ TEST(ZonePruneTest, IntEqualitySelectNeverTrustsBlockWideMatches) {
 // k'th boundary scattered into later blocks: stable tie order is the
 // bit-identity acid test.
 std::vector<double> RankingScores(size_t n) {
+  // The planted rows below reach into the fifth block.
+  MIRROR_CHECK_GT(n, kZoneBlockRows * 4 + 5) << "RankingScores needs 5+ blocks";
   std::vector<double> scores(n);
   base::Rng rng(99);
   for (size_t i = 0; i < n; ++i) {
@@ -334,7 +460,7 @@ TEST(TopKPruneTest, SharedAggregatesAreNeverPruned) {
   // rows would corrupt the fold, so the plan must run unpruned — same
   // fold either way.
   Catalog catalog;
-  catalog.Put("S.score", Bat::DenseDbls(RankingScores(kZoneBlockRows * 2)));
+  catalog.Put("S.score", Bat::DenseDbls(RankingScores(kZoneBlockRows * 6)));
   mil::Program p;
   auto emit = [&p](mil::Instr i) {
     i.dst = p.NewReg();
